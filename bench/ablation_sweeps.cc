@@ -93,9 +93,7 @@ sweepCacheCapacity()
 {
     // The capacity ablation behind the analytical cache model: hit
     // rate versus capacity for the three synthetic stream classes,
-    // measured through the segment-descriptor streams and the
-    // piecewise-analytic replay engine (bit-identical to the scalar
-    // oracle, gated in the test suite), against the power-law
+    // measured on the scalar LRU simulator, against the power-law
     // prediction for the hot/cold mix.
     const uint64_t hot = kib(64), cold = mib(8);
     const double hot_frac = 0.6;
@@ -104,12 +102,12 @@ sweepCacheCapacity()
                  "power law (hot/cold)"});
     for (uint64_t cap_kib : {16, 32, 64, 128, 256, 512}) {
         sim::CacheSim cache(kib(cap_kib), 8, 64);
-        double stream = sim::measureHitRateSegments(
+        double stream = sim::measureHitRate(
             cache, sim::genStreamingSegments(mib(4), 64));
-        double gemm = sim::measureHitRateSegments(
+        double gemm = sim::measureHitRate(
             cache, sim::genBlockedGemmSegments(256, 256, 256, 64));
         Rng rng(99);
-        double hotcold = sim::measureHitRateSegments(
+        double hotcold = sim::measureHitRate(
             cache, sim::genHotColdSegments(100000, hot, cold,
                                            hot_frac, rng));
         double law = sim::capacityHitFraction(
@@ -124,8 +122,8 @@ sweepCacheCapacity()
                       csprintf("%.1f%%", 100.0 * law)});
     }
     std::printf("%s\n", table.render(
-        "Ablation: cache capacity vs hit rate (piecewise-analytic "
-        "segment replay)").c_str());
+        "Ablation: cache capacity vs hit rate (LRU cache "
+        "simulator)").c_str());
 }
 
 void

@@ -78,10 +78,6 @@ runSweep(const harness::Workload &wl, unsigned epochs, bool memoize,
     tc.evalCostMultiplier = wl.evalCostMultiplier;
     tc.memoizeProfiles = memoize;
     tc.profileThreads = threads;
-    // This bench measures the PR 1 per-iteration memo-probe engine;
-    // the unique-SL replay generation is measured (and gated) by
-    // bench_epoch_replay_speedup.
-    tc.uniqueSlReplay = false;
 
     SweepResult res;
     auto start = std::chrono::steady_clock::now();

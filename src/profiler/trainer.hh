@@ -56,7 +56,10 @@ struct TrainConfig {
      * flat-table lookups, turning O(iterations x kernels) work into
      * O(unique SLs x kernels) + O(iterations). Disabling recovers
      * the per-iteration memo-probe path; the log is bit-identical
-     * either way. Requires memoizeProfiles.
+     * either way. Requires memoizeProfiles. Only the epoch-replay
+     * tests disable it; its reader sits in trainer.cc, a
+     * snapshot-codec file, so the field goes with the next
+     * kSnapshotFormatVersion bump.
      */
     bool uniqueSlReplay = true;
 };

@@ -181,13 +181,11 @@ QueryService::answerQuery(const QueryRequest &req, bool &cold_build)
         // observe this request's cancel token) and stand up the warm
         // Experiment seeded from it. A thrown cancellation leaves
         // both the registry slot and this entry unset and reusable.
-        harness::SnapshotKey key;
-        {
-            harness::Workload identity = make();
-            key = harness::snapshotKeyFor(
-                identity, harness::Experiment::defaultOptions(),
-                req.config);
-        }
+        // The workload is built once for the key and the warm
+        // Experiment; only a store miss builds a second one.
+        harness::Workload wl = make();
+        harness::SnapshotKey key = harness::snapshotKeyFor(
+            wl, harness::Experiment::defaultOptions(), req.config);
         bool built = false;
         auto snap = registry_.acquire(key, [&] {
             built = true;
@@ -197,7 +195,7 @@ QueryService::answerQuery(const QueryRequest &req, bool &cold_build)
         });
         cold_build = built;
 
-        auto exp = std::make_unique<harness::Experiment>(make());
+        auto exp = std::make_unique<harness::Experiment>(std::move(wl));
         exp->setProfileThreads(std::max(1u, config_.profileThreads));
         exp->seedFrom(snap);
         entry->exp = std::move(exp);

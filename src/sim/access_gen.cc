@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "sim/cache_model.hh"
 
 namespace seqpoint {
 namespace sim {
@@ -45,36 +44,11 @@ SegmentList::add(uint64_t addr, bool write)
 }
 
 void
-SegmentList::clear()
-{
-    segs.clear();
-    total = 0;
-}
-
-AccessTrace
-SegmentList::materialize() const
-{
-    AccessTrace trace;
-    trace.reserve(static_cast<std::size_t>(total));
-    replay(trace.sink());
-    return trace;
-}
-
-void
 SegmentList::replay(const AccessSink &sink) const
 {
     for (const SegDesc &seg : segs)
         for (uint64_t i = 0; i < seg.count; ++i)
             sink(seg.addr(i), seg.write);
-}
-
-SegmentList
-detectSegments(const AccessTrace &trace)
-{
-    SegmentList list;
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        list.add(trace.addr(i), trace.isWrite(i));
-    return list;
 }
 
 SegmentList
@@ -151,58 +125,12 @@ genHotColdSegments(uint64_t accesses, uint64_t hot_bytes,
     return list;
 }
 
-void
-genStreaming(uint64_t bytes, unsigned stride, const AccessSink &sink)
-{
-    genStreamingSegments(bytes, stride).replay(sink);
-}
-
-void
-genBlockedGemm(uint64_t m, uint64_t n, uint64_t k, unsigned tile,
-               const AccessSink &sink)
-{
-    genBlockedGemmSegments(m, n, k, tile).replay(sink);
-}
-
-void
-genHotCold(uint64_t accesses, uint64_t hot_bytes, uint64_t cold_bytes,
-           double hot_frac, Rng &rng, const AccessSink &sink)
-{
-    genHotColdSegments(accesses, hot_bytes, cold_bytes, hot_frac, rng)
-        .replay(sink);
-}
-
 double
-measureHitRate(CacheSim &cache,
-               const std::function<void(const AccessSink &)> &gen)
-{
-    SegmentList list;
-    gen(list.sink());
-    return measureHitRateSegments(cache, list);
-}
-
-double
-replayHitRate(CacheSim &cache, const AccessTrace &trace)
-{
-    return replayStatsFast(cache, trace).hitRate();
-}
-
-CacheStats
-replayStatsFast(CacheSim &cache, const AccessTrace &trace)
+measureHitRate(CacheSim &cache, const SegmentList &list)
 {
     cache.reset();
-    SegmentList segs = detectSegments(trace);
-    // The piecewise engine pays per segment; it only wins when the
-    // decomposition actually compresses. Unstructured traces fold
-    // into pair runs under the greedy decomposer (the second access
-    // always fixes a stride), i.e. exactly 2 accesses per segment,
-    // so require a strictly better ratio before leaving the batched
-    // scan -- statistics and state are identical either way.
-    if (trace.size() >= 3 * segs.size())
-        replaySegmentsResume(cache, segs);
-    else
-        cache.accessBlock(trace, 0, trace.size());
-    return cache.stats();
+    list.replay([&](uint64_t a, bool w) { cache.access(a, w); });
+    return cache.stats().hitRate();
 }
 
 } // namespace sim

@@ -6,14 +6,9 @@
  * drives the same working sets through both and checks the hit-rate
  * power law.
  *
- * Streams exist in two representations. The compact form is a
- * SegmentList of segment descriptors -- (firstAddr, stride, count,
- * write) stride runs -- which the generators emit directly in
- * O(segments); the piecewise-analytic replay engine (cache_model.hh)
- * consumes descriptors without ever materializing individual
- * accesses. The materialized form is the flat AccessTrace buffer,
- * kept for the scalar oracle, the batched accessBlock replay and
- * streams with no stride structure.
+ * Streams are SegmentLists of segment descriptors -- (firstAddr,
+ * stride, count, write) stride runs -- which the generators emit in
+ * O(segments) and measureHitRate() expands access by access.
  */
 
 #ifndef SEQPOINT_SIM_ACCESS_GEN_HH
@@ -33,47 +28,26 @@ namespace sim {
 using AccessSink = std::function<void(uint64_t addr, bool write)>;
 
 /**
- * A recorded access stream in one flat buffer: each entry packs
- * `(addr << 1) | is_write` into a uint64_t (synthetic addresses stay
- * far below 2^63). Generating into a trace once and replaying it
- * avoids the per-access std::function indirection when the same
- * stream is driven through several cache geometries.
+ * One segment descriptor: `count` accesses at
+ * `firstAddr + i * stride` (i = 0..count-1), all with the same
+ * read/write direction: a stride run, a repeated address (stride 0),
+ * or a lone access (count 1).
  */
-class AccessTrace
-{
-  public:
-    /** Append one access. */
-    void add(uint64_t addr, bool write)
+struct SegDesc {
+    uint64_t firstAddr = 0; ///< Address of the first access.
+    int64_t stride = 0;     ///< Signed byte stride between accesses.
+    uint64_t count = 0;     ///< Number of accesses.
+    bool write = false;     ///< Uniform access direction.
+
+    /** @return Address of access i (i < count). */
+    uint64_t addr(uint64_t i) const
     {
-        words.push_back((addr << 1) | (write ? 1u : 0u));
+        return firstAddr +
+            static_cast<uint64_t>(stride) * i; // wraps consistently
     }
 
-    /** @return Number of recorded accesses. */
-    std::size_t size() const { return words.size(); }
-
-    /** @return True when nothing was recorded. */
-    bool empty() const { return words.empty(); }
-
-    /** @return Address of access i. */
-    uint64_t addr(std::size_t i) const { return words[i] >> 1; }
-
-    /** @return True when access i is a write. */
-    bool isWrite(std::size_t i) const { return (words[i] & 1) != 0; }
-
-    /** Pre-allocate room for n accesses. */
-    void reserve(std::size_t n) { words.reserve(n); }
-
-    /** Drop all recorded accesses. */
-    void clear() { words.clear(); }
-
-    /** @return A sink that records into this trace. */
-    AccessSink sink()
-    {
-        return [this](uint64_t a, bool w) { add(a, w); };
-    }
-
-  private:
-    std::vector<uint64_t> words;
+    /** Field-wise equality. */
+    bool operator==(const SegDesc &other) const = default;
 };
 
 /**
@@ -81,8 +55,8 @@ class AccessTrace
  * stride run. The incremental add() builder folds an arbitrary
  * access-by-access stream into maximal stride runs greedily, so a
  * SegmentList expands to exactly the access sequence it was built
- * from -- compression never changes replay semantics, only the work
- * needed to account it.
+ * from -- compression never changes replay semantics, only the
+ * stream's size.
  */
 class SegmentList
 {
@@ -116,22 +90,6 @@ class SegmentList
     /** @return Total accesses across all descriptors. */
     uint64_t accesses() const { return total; }
 
-    /** Drop all descriptors. */
-    void clear();
-
-    /** @return A sink that folds accesses into this list. */
-    AccessSink sink()
-    {
-        return [this](uint64_t a, bool w) { add(a, w); };
-    }
-
-    /**
-     * Expand to the flat per-access form (the exact access sequence
-     * the list was built from). O(accesses) -- for oracle
-     * cross-checks and the batched-replay fallback, not hot paths.
-     */
-    AccessTrace materialize() const;
-
     /** Invoke `sink` for every access, in stream order. */
     void replay(const AccessSink &sink) const;
 
@@ -139,19 +97,6 @@ class SegmentList
     std::vector<SegDesc> segs;
     uint64_t total = 0;
 };
-
-/**
- * Decompose a trace into maximal stride segments (greedy: each run
- * extends while the next access continues its stride with the same
- * direction flag). Handles every edge shape: empty traces (empty
- * list), single accesses and direction flips (count-1 runs),
- * repeated addresses (stride-0 runs), negative and line-straddling
- * strides (any int64 stride is a valid descriptor).
- *
- * @param trace Recorded access stream.
- * @return Segment list expanding to exactly `trace`.
- */
-SegmentList detectSegments(const AccessTrace &trace);
 
 /**
  * Streaming access pattern: touch `bytes` bytes once, sequentially,
@@ -185,8 +130,7 @@ SegmentList genBlockedGemmSegments(uint64_t m, uint64_t n, uint64_t k,
  * Hot/cold mixture: a fraction `hot_frac` of accesses target a
  * `hot_bytes` region (temporal locality), the rest sweep a large cold
  * region. Models embedding-table lookups. Random addresses have no
- * stride structure, so the descriptors are (mostly) count-1 runs:
- * compact replay falls back to per-line accounting.
+ * stride structure, so the descriptors are (mostly) short runs.
  *
  * @param accesses Number of accesses to generate.
  * @param hot_bytes Size of the hot region.
@@ -199,69 +143,15 @@ SegmentList genHotColdSegments(uint64_t accesses, uint64_t hot_bytes,
                                Rng &rng);
 
 /**
- * Streaming access pattern through a per-access sink (compatibility
- * shim over genStreamingSegments(); identical access sequence).
- */
-void genStreaming(uint64_t bytes, unsigned stride, const AccessSink &sink);
-
-/**
- * Blocked-GEMM access pattern through a per-access sink
- * (compatibility shim over genBlockedGemmSegments(); identical
- * access sequence).
- */
-void genBlockedGemm(uint64_t m, uint64_t n, uint64_t k, unsigned tile,
-                    const AccessSink &sink);
-
-/**
- * Hot/cold mixture through a per-access sink (compatibility shim
- * over genHotColdSegments(); identical access sequence and RNG
- * consumption).
- */
-void genHotCold(uint64_t accesses, uint64_t hot_bytes, uint64_t cold_bytes,
-                double hot_frac, Rng &rng, const AccessSink &sink);
-
-/**
- * Drive a pattern through a cache and return its measured hit rate.
+ * Replay a stream through a cache access by access and return its
+ * hit rate.
  *
- * The generated stream is folded into segment descriptors and
- * replayed through the piecewise-analytic engine (cache_model.hh),
- * which is bit-identical to feeding the cache access by access.
- *
- * @param cache Cache to exercise (reset first).
- * @param gen Invoked with a sink that records the stream.
+ * @param cache Cache to exercise (reset first; its stats() hold the
+ *              full replay's statistics afterwards).
+ * @param list Stream to replay.
  * @return Hit rate observed over the whole stream.
  */
-double measureHitRate(CacheSim &cache,
-                      const std::function<void(const AccessSink &)> &gen);
-
-/**
- * Replay a recorded trace through a cache and return the hit rate.
- * Routed through replayStatsFast(), so traces with stride structure
- * take the piecewise-analytic engine and unstructured traces the
- * batched accessBlock scan -- identical statistics either way.
- *
- * @param cache Cache to exercise (reset first).
- * @param trace Previously recorded access stream.
- * @return Hit rate observed over the whole stream.
- */
-double replayHitRate(CacheSim &cache, const AccessTrace &trace);
-
-/**
- * Replay statistics with the piecewise-analytic fast path.
- *
- * The trace is decomposed into maximal stride segments; when the
- * decomposition compresses (>= 2 accesses per segment on average)
- * the segments are replayed through the piecewise engine
- * (cache_model.hh), otherwise the trace is replayed through the
- * batched CacheSim::accessBlock. Either way the returned statistics
- * and the final cache state are identical to an access()-per-entry
- * replay on a reset cache.
- *
- * @param cache Cache to exercise (reset first).
- * @param trace Previously recorded access stream.
- * @return Statistics of the full replay.
- */
-CacheStats replayStatsFast(CacheSim &cache, const AccessTrace &trace);
+double measureHitRate(CacheSim &cache, const SegmentList &list);
 
 } // namespace sim
 } // namespace seqpoint

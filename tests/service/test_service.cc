@@ -289,6 +289,53 @@ TEST(QueryService, DrainPersistsDroppedSnapshotAndIsIdempotent)
     fs::remove_all(dir, ec);
 }
 
+TEST(QueryService, ColdPairCallsFactoryOncePerStoreHit)
+{
+    std::string dir = tmpStore("service_factory_calls_store");
+    {
+        harness::SnapshotRegistry primer(dir);
+        ASSERT_NE(primer.acquire(
+                      [] { return harness::makeDs2Workload(); },
+                      sim::GpuConfig::config1(), 1),
+                  nullptr);
+    }
+
+    std::atomic<unsigned> calls{0};
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    cfg.storeDir = dir;
+    QueryService svc(cfg);
+    svc.registerWorkload("DS2", [&calls] {
+        calls.fetch_add(1);
+        return harness::makeDs2Workload();
+    });
+    svc.start();
+
+    // Store hit: one workload serves both the snapshot key and the
+    // warm Experiment.
+    QueryResult hit = svc.query(ds2Request());
+    ASSERT_TRUE(hit.status.ok()) << hit.status.toString();
+    EXPECT_FALSE(hit.coldBuild);
+    EXPECT_EQ(calls.load(), 1u);
+
+    // Warm repeat: no factory call at all.
+    ASSERT_TRUE(svc.query(ds2Request()).status.ok());
+    EXPECT_EQ(calls.load(), 1u);
+
+    // Store miss: the build needs its own workload, one more call.
+    QueryResult miss = svc.query(ds2Request(sim::GpuConfig::config2()));
+    ASSERT_TRUE(miss.status.ok()) << miss.status.toString();
+    EXPECT_TRUE(miss.coldBuild);
+    EXPECT_EQ(calls.load(), 3u);
+
+    EXPECT_TRUE(answersMatch(hit.answer,
+                             directAnswer(harness::makeDs2Workload(),
+                                          sim::GpuConfig::config1())));
+    svc.drain();
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+}
+
 TEST(QueryService, ChaosUnderLoadIsDeathFree)
 {
     std::string dir = tmpStore("service_chaos_store");

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hh"
+#include "common/units.hh"
 #include "sim/access_gen.hh"
 #include "sim/cache_model.hh"
 #include "sim/cache_sim.hh"
@@ -96,9 +99,9 @@ TEST(CacheModelValidation, PowerLawTracksSimulatorOnHotCold)
     auto measure = [&](uint64_t cap_bytes) {
         CacheSim cache(cap_bytes, 8, 64);
         Rng rng(99);
-        return measureHitRate(cache, [&](const AccessSink &sink) {
-            genHotCold(200000, hot, cold, hot_frac, rng, sink);
-        });
+        return measureHitRate(cache, genHotColdSegments(200000, hot,
+                                                        cold, hot_frac,
+                                                        rng));
     };
 
     // Monotone in capacity.
@@ -126,8 +129,8 @@ TEST(CacheModelValidation, PowerLawTracksSimulatorOnHotCold)
 TEST(CacheModelValidation, StreamingHasNoReuse)
 {
     CacheSim cache(kib(16), 4, 64);
-    double measured = measureHitRate(cache,
-        [](const AccessSink &sink) { genStreaming(mib(4), 64, sink); });
+    double measured =
+        measureHitRate(cache, genStreamingSegments(mib(4), 64));
     EXPECT_LT(measured, 0.01);
 }
 
@@ -137,19 +140,68 @@ TEST(CacheModelValidation, BlockedGemmReusesInLargeCache)
     // enough for the panels shows substantial reuse; a tiny cache
     // keeps only the intra-line spatial hits of the element-granular
     // panel-row walks and misses several times more often.
+    SegmentList gemm = genBlockedGemmSegments(256, 256, 256, 64);
     CacheSim big(mib(4), 16, 64);
-    double hit_big = measureHitRate(big, [](const AccessSink &sink) {
-        genBlockedGemm(256, 256, 256, 64, sink);
-    });
+    double hit_big = measureHitRate(big, gemm);
 
     CacheSim small(kib(8), 4, 64);
-    double hit_small = measureHitRate(small, [](const AccessSink &sink) {
-        genBlockedGemm(256, 256, 256, 64, sink);
-    });
+    double hit_small = measureHitRate(small, gemm);
 
     EXPECT_GT(hit_big, hit_small);
     EXPECT_GT(1.0 - hit_small, 2.0 * (1.0 - hit_big));
 }
+
+/** One cache-capacity ablation measurement and its exact counts. */
+struct AblationCase {
+    uint64_t capKib;       ///< Capacity (8-way, 64 B lines).
+    const char *stream;    ///< "stream", "gemm" or "hotcold".
+    CacheStats want;       ///< Exact oracle statistics.
+};
+
+/** The ablation's stream of the given class (bench/ablation_sweeps). */
+SegmentList
+ablationStream(const std::string &name)
+{
+    if (name == "stream")
+        return genStreamingSegments(mib(4), 64);
+    if (name == "gemm")
+        return genBlockedGemmSegments(256, 256, 256, 64);
+    Rng rng(99);
+    return genHotColdSegments(100000, kib(64), mib(8), 0.6, rng);
+}
+
+class CacheCapacityAblation : public testing::TestWithParam<AblationCase>
+{};
+
+/**
+ * Golden counts for the cache-capacity ablation's streams at its
+ * smallest and largest capacity: any change to the oracle's LRU,
+ * write-back or set mapping, or to the generators, moves them.
+ */
+TEST_P(CacheCapacityAblation, OracleCountsArePinned)
+{
+    const AblationCase &c = GetParam();
+    CacheSim cache(kib(c.capKib), 8, 64);
+    measureHitRate(cache, ablationStream(c.stream));
+    EXPECT_EQ(cache.stats(), c.want)
+        << c.stream << " @ " << c.capKib << " KiB: hits "
+        << cache.stats().hits << " / " << cache.stats().accesses;
+}
+
+// Fields: accesses, hits, misses, evictions, writebacks.
+INSTANTIATE_TEST_SUITE_P(
+    Golden, CacheCapacityAblation,
+    testing::Values(
+        AblationCase{16, "stream", {65536, 0, 65536, 65280, 0}},
+        AblationCase{16, "gemm", {393216, 368640, 24576, 24320, 4032}},
+        AblationCase{16, "hotcold", {100000, 8779, 91221, 90965, 0}},
+        AblationCase{512, "stream", {65536, 0, 65536, 57344, 0}},
+        AblationCase{512, "gemm", {393216, 384000, 9216, 1024, 512}},
+        AblationCase{512, "hotcold", {100000, 61022, 38978, 30786, 0}}),
+    [](const testing::TestParamInfo<AblationCase> &info) {
+        return std::string(info.param.stream) + "_" +
+            std::to_string(info.param.capKib) + "KiB";
+    });
 
 } // anonymous namespace
 } // namespace sim
