@@ -56,8 +56,15 @@ namespace harness {
  * v4: the tuner section (the last raw-encoded section) moved to the
  * packed shape-key-ordered varint/delta form
  * (nn::encodeAutotuneSection). v3 stores rebuild on first use.
+ *
+ * v5: byte layout identical to v4, but the timing section holds only
+ * kernels that ran: Measured-mode autotune probes no longer enter the
+ * device's timing memo. The timing, tuner and train-log codecs moved
+ * into their own files (sim/timing_codec.cc, nn/autotune_codec.cc,
+ * profiler/train_log_codec.cc), re-pinned under the lint ratchet. v4
+ * stores rebuild on first use.
  */
-constexpr uint32_t kSnapshotFormatVersion = 4;
+constexpr uint32_t kSnapshotFormatVersion = 5;
 
 /**
  * Full identity of a snapshot: everything the snapshotted state is a

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <tuple>
 #include <vector>
 
@@ -30,9 +29,6 @@ struct GemmVariant {
     unsigned tileM = 64; ///< Output-tile rows.
     unsigned tileN = 64; ///< Output-tile columns.
     unsigned tileK = 16; ///< K-panel depth held in LDS.
-
-    /** @return Name suffix, e.g. "MT64x64_K16". */
-    std::string suffix() const;
 };
 
 /** @return The candidate variant menu (largest to smallest tiles). */
@@ -88,10 +84,12 @@ std::vector<AutotuneEntry> decodeAutotuneSection(ByteReader &r);
  * Shape -> variant cache with two selection policies.
  *
  * Heuristic mode picks by a traffic-plus-waste cost model (pure
- * function of shape). Measured mode times every candidate on the
- * bound device -- the expensive paper-style autotune -- and records
- * the accumulated tuning cost so callers can include or exclude it
- * from training-time accounts.
+ * function of shape). Measured mode times every candidate with the
+ * bound device's timing model -- the expensive paper-style autotune
+ * -- and records the accumulated tuning cost so callers can include
+ * or exclude it from training-time accounts. Probes bypass the
+ * device's kernel-timing memo, so it only ever holds kernels that
+ * run.
  *
  * select() is thread-safe so concurrent profiling tasks can share one
  * tuner. The tuning cost is stored per shape and summed in shape-key

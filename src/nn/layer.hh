@@ -74,6 +74,17 @@ class Layer
     const std::string &name() const { return name_; }
 
     /**
+     * Kernel-name key "<layer name><suffix>". It points at this
+     * layer's name, so it is valid while the layer lives.
+     *
+     * @param suffix String literal appended to the layer name.
+     */
+    sim::KernelName kernelName(const char *suffix) const
+    {
+        return sim::KernelName(name_.c_str(), suffix);
+    }
+
+    /**
      * Emit this layer's forward-pass kernels.
      *
      * @param ctx Iteration parameters and kernel sink.

@@ -31,14 +31,14 @@ BatchNormLayer::elems(const LowerCtx &ctx) const
 void
 BatchNormLayer::lowerForward(LowerCtx &ctx) const
 {
-    ctx.emit(makeBatchNorm(name() + "_fwd", elems(ctx)));
+    ctx.emit(makeBatchNorm(kernelName("_fwd"), elems(ctx)));
 }
 
 void
 BatchNormLayer::lowerBackward(LowerCtx &ctx) const
 {
     // Backward recomputes statistics gradients: ~1.5x forward traffic.
-    sim::KernelDesc kd = makeBatchNorm(name() + "_bwd", elems(ctx));
+    sim::KernelDesc kd = makeBatchNorm(kernelName("_bwd"), elems(ctx));
     kd.bytesIn *= 1.5;
     kd.flops *= 1.5;
     ctx.emit(std::move(kd));

@@ -49,7 +49,7 @@ Conv2dLayer::outHeight(const LowerCtx &ctx) const
 void
 Conv2dLayer::lowerForward(LowerCtx &ctx) const
 {
-    ctx.emit(makeConv2d(name() + "_fwd", ctx.batch, inC, outC,
+    ctx.emit(makeConv2d(kernelName("_fwd_igemm"), ctx.batch, inC, outC,
                         inHeight(ctx), width, kh, kw, strideH, strideW,
                         *ctx.tuner));
 }
@@ -63,9 +63,9 @@ Conv2dLayer::lowerBackward(LowerCtx &ctx) const
     int64_t k_dim = inC * kh * kw;
 
     // Data gradient: [K, M] x [M, N] spread back over the input.
-    ctx.emit(makeGemm(name() + "_bwd_data", k_dim, n, outC, *ctx.tuner));
+    ctx.emit(makeGemm(kernelName("_bwd_data"), k_dim, n, outC, *ctx.tuner));
     // Weight gradient: [M, N] x [N, K].
-    ctx.emit(makeGemm(name() + "_bwd_wgrad", outC, k_dim, n, *ctx.tuner));
+    ctx.emit(makeGemm(kernelName("_bwd_wgrad"), outC, k_dim, n, *ctx.tuner));
 }
 
 uint64_t

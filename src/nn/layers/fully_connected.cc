@@ -30,7 +30,7 @@ FullyConnectedLayer::lowerForward(LowerCtx &ctx) const
 {
     int64_t n = static_cast<int64_t>(ctx.batch) *
         ctx.steps(axis, fixedSteps);
-    ctx.emit(makeGemm(name() + "_fwd", outDim, n, inDim, *ctx.tuner));
+    ctx.emit(makeGemm(kernelName("_fwd"), outDim, n, inDim, *ctx.tuner));
 }
 
 void
@@ -38,9 +38,9 @@ FullyConnectedLayer::lowerBackward(LowerCtx &ctx) const
 {
     int64_t n = static_cast<int64_t>(ctx.batch) *
         ctx.steps(axis, fixedSteps);
-    ctx.emit(makeGemm(name() + "_bwd_data", inDim, n, outDim,
+    ctx.emit(makeGemm(kernelName("_bwd_data"), inDim, n, outDim,
                       *ctx.tuner));
-    ctx.emit(makeGemm(name() + "_bwd_wgrad", outDim, inDim, n,
+    ctx.emit(makeGemm(kernelName("_bwd_wgrad"), outDim, inDim, n,
                       *ctx.tuner));
 }
 

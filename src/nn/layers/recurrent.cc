@@ -6,7 +6,6 @@
 #include "nn/layers/recurrent.hh"
 
 #include "common/logging.hh"
-#include "common/strutil.hh"
 #include "nn/kernel_gen.hh"
 
 namespace seqpoint {
@@ -34,10 +33,11 @@ RecurrentLayer::outputDim() const
     return bidirectional ? 2 * hidden : hidden;
 }
 
-const char *
-RecurrentLayer::cellName() const
+sim::KernelName
+RecurrentLayer::cellOp(const char *suffix) const
 {
-    return type == CellType::Lstm ? "lstm" : "gru";
+    return sim::KernelName(type == CellType::Lstm ? "lstm" : "gru",
+                           suffix);
 }
 
 void
@@ -45,22 +45,21 @@ RecurrentLayer::lowerDirectionForward(LowerCtx &ctx, int64_t steps) const
 {
     int64_t gates = gateCount(type);
     int64_t batch = ctx.batch;
-    const char *cell = cellName();
 
     // Input-side GEMM batched over all time steps:
     // [gates*H, inputDim] x [inputDim, B*T].
-    ctx.emit(makeGemm(csprintf("%s_wx_fwd", cell), gates * hidden,
+    ctx.emit(makeGemm(cellOp("_wx_fwd"), gates * hidden,
                       batch * steps, inputDim, *ctx.tuner));
 
     // Recurrent GEMM, once per step: [gates*H, H] x [H, B].
-    sim::KernelDesc rec = makeGemm(csprintf("%s_wh_fwd", cell),
+    sim::KernelDesc rec = makeGemm(cellOp("_wh_fwd"),
                                    gates * hidden, batch, hidden,
                                    *ctx.tuner);
     rec.repeat = static_cast<uint64_t>(steps);
     ctx.emit(std::move(rec));
 
     // Fused gate math, once per step: sigmoids/tanh over B x gates*H.
-    sim::KernelDesc gate = sim::makeElementwise(csprintf("%s_cell_fwd", cell),
+    sim::KernelDesc gate = sim::makeElementwise(cellOp("_cell_fwd"),
         static_cast<double>(batch * gates * hidden), 8.0, 3.0, 2.0);
     gate.repeat = static_cast<uint64_t>(steps);
     ctx.emit(std::move(gate));
@@ -71,16 +70,15 @@ RecurrentLayer::lowerDirectionBackward(LowerCtx &ctx, int64_t steps) const
 {
     int64_t gates = gateCount(type);
     int64_t batch = ctx.batch;
-    const char *cell = cellName();
 
     // Per-step gate backward (more operands than forward).
-    sim::KernelDesc gate = sim::makeElementwise(csprintf("%s_cell_bwd", cell),
+    sim::KernelDesc gate = sim::makeElementwise(cellOp("_cell_bwd"),
         static_cast<double>(batch * gates * hidden), 10.0, 5.0, 3.0);
     gate.repeat = static_cast<uint64_t>(steps);
     ctx.emit(std::move(gate));
 
     // Per-step recurrent data gradient: [H, gates*H] x [gates*H, B].
-    sim::KernelDesc rec = makeGemm(csprintf("%s_wh_bwd_data", cell),
+    sim::KernelDesc rec = makeGemm(cellOp("_wh_bwd_data"),
                                    hidden, batch, gates * hidden,
                                    *ctx.tuner);
     rec.repeat = static_cast<uint64_t>(steps);
@@ -88,16 +86,16 @@ RecurrentLayer::lowerDirectionBackward(LowerCtx &ctx, int64_t steps) const
 
     // Input data gradient batched over steps:
     // [inputDim, gates*H] x [gates*H, B*T].
-    ctx.emit(makeGemm(csprintf("%s_wx_bwd_data", cell), inputDim,
+    ctx.emit(makeGemm(cellOp("_wx_bwd_data"), inputDim,
                       batch * steps, gates * hidden, *ctx.tuner));
 
     // Weight gradients, reduced over B*T:
     // dWx: [gates*H, B*T] x [B*T, inputDim].
-    ctx.emit(makeGemm(csprintf("%s_wx_bwd_wgrad", cell), gates * hidden,
-                      inputDim, batch * steps, *ctx.tuner));
+    ctx.emit(makeGemm(cellOp("_wx_bwd_wgrad"), gates * hidden, inputDim,
+                      batch * steps, *ctx.tuner));
     // dWh: [gates*H, B*T] x [B*T, H].
-    ctx.emit(makeGemm(csprintf("%s_wh_bwd_wgrad", cell), gates * hidden,
-                      hidden, batch * steps, *ctx.tuner));
+    ctx.emit(makeGemm(cellOp("_wh_bwd_wgrad"), gates * hidden, hidden,
+                      batch * steps, *ctx.tuner));
 }
 
 void
@@ -109,7 +107,7 @@ RecurrentLayer::lowerForward(LowerCtx &ctx) const
         lowerDirectionForward(ctx, steps);
     if (bidirectional) {
         // Concatenate the two directions' outputs.
-        ctx.emit(sim::makeMemcpy(csprintf("%s_concat_dirs", cellName()),
+        ctx.emit(sim::makeMemcpy(cellOp("_concat_dirs"),
             static_cast<double>(ctx.batch) *
             static_cast<double>(steps) *
             static_cast<double>(2 * hidden) * 4.0));

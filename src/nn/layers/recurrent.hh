@@ -63,7 +63,8 @@ class RecurrentLayer : public Layer
     /** Emit one direction's backward kernels. */
     void lowerDirectionBackward(LowerCtx &ctx, int64_t steps) const;
 
-    const char *cellName() const;
+    /** @return Kernel-name key "<lstm|gru><suffix>". */
+    sim::KernelName cellOp(const char *suffix) const;
 };
 
 } // namespace nn

@@ -9,7 +9,6 @@
 
 #include "common/cancel.hh"
 #include "common/logging.hh"
-#include "common/strutil.hh"
 
 namespace seqpoint {
 namespace prof {
@@ -45,46 +44,6 @@ TrainLog::identicalTo(const TrainLog &other) const
             return false;
     }
     return true;
-}
-
-void
-encodeTrainLog(ByteWriter &w, const TrainLog &log)
-{
-    w.u64(log.iterations.size());
-    for (const IterationLog &it : log.iterations) {
-        w.i64(it.seqLen);
-        w.f64(it.timeSec);
-    }
-    w.f64(log.trainSec);
-    w.f64(log.evalSec);
-    w.f64(log.autotuneSec);
-    sim::encodeCounters(w, log.counters);
-}
-
-TrainLog
-decodeTrainLog(ByteReader &r)
-{
-    TrainLog log;
-    uint64_t n = r.u64();
-    // 16 bytes per iteration: an absurd count means a corrupt length
-    // field, so reject it before reserve() tries to honour it.
-    if (n > r.remaining() / 16) {
-        r.fail(csprintf("%s: iteration count %llu exceeds the payload",
-                        r.what().c_str(),
-                        static_cast<unsigned long long>(n)));
-    }
-    log.iterations.reserve(static_cast<size_t>(n));
-    for (uint64_t i = 0; i < n; ++i) {
-        IterationLog it;
-        it.seqLen = r.i64();
-        it.timeSec = r.f64();
-        log.iterations.push_back(it);
-    }
-    log.trainSec = r.f64();
-    log.evalSec = r.f64();
-    log.autotuneSec = r.f64();
-    log.counters = sim::decodeCounters(r);
-    return log;
 }
 
 namespace {
@@ -152,38 +111,31 @@ runTrainingEpoch(Profiler &profiler, const data::Dataset &dataset,
             data::BatchPolicy::Bucketed, rng);
     }
 
-    const bool memo = profiler.memoizing();
-    const bool replay = memo && cfg.uniqueSlReplay;
-
     // One-time autotune cost newly incurred by this epoch: with a
     // fresh profiler the delta is the tuner's whole cost, matching
     // the historical accounting.
     double tune_before = profiler.autotuner().tuningCostSec();
 
-    std::vector<int64_t> train_sls, eval_sls;
-    if (replay || (memo && cfg.profileThreads > 1)) {
-        // Fill the per-SL memo up front: each unique SL is profiled
-        // exactly once (in ascending order, on the sweep pool when
-        // profileThreads > 1). The assembly below then runs entirely
-        // out of the memo; because profiles are pure functions of SL
-        // the log is bit-identical to profiling in batch order.
-        train_sls = uniqueSls(batches);
+    TrainLog log;
+    log.iterations.reserve(batches.size());
+
+    if (profiler.memoizing()) {
+        // Unique-SL epoch replay: fill the per-SL memo up front, each
+        // unique SL profiled exactly once (in ascending order, on the
+        // sweep pool when profileThreads > 1), resolve each unique
+        // SL's profile once into a flat table, then replay the SL
+        // schedule as table lookups. Profiles are pure functions of
+        // SL and accumulation visits the same values in the same
+        // (execution) order as profiling batch by batch, so the log
+        // is bit-identical to that.
+        std::vector<int64_t> train_sls = uniqueSls(batches);
         profiler.warmTrainProfiles(train_sls, cfg.profileThreads);
+        std::vector<int64_t> eval_sls;
         if (do_eval) {
             eval_sls = uniqueSls(eval_batches);
             profiler.warmInferProfiles(eval_sls, cfg.profileThreads);
         }
-    }
 
-    TrainLog log;
-    log.iterations.reserve(batches.size());
-
-    if (replay) {
-        // Unique-SL epoch replay: resolve each unique SL's profile
-        // once into a flat table, then replay the SL schedule as
-        // table lookups. Accumulation visits the same values in the
-        // same (execution) order as the per-iteration path, so the
-        // totals are bit-identical.
         // Resolving a profile is the expensive part when the memo is
         // cold (each miss runs a full per-SL profile), so this is
         // where a deadline firing mid-resolve must be noticed; the
@@ -215,8 +167,10 @@ runTrainingEpoch(Profiler &profiler, const data::Dataset &dataset,
             }
         }
     } else {
-        // Per-iteration profiling is the epoch's dominant cost, so
-        // this is where a deadline firing mid-epoch must be noticed.
+        // Without a memo every iteration is simulated from scratch
+        // (the profiling-speedup bench's baseline). That is the
+        // epoch's dominant cost, so this is where a deadline firing
+        // mid-epoch must be noticed.
         for (const data::Batch &b : batches) {
             cancelCheckpoint("trainer.batch");
             const IterationProfile &p = profiler.profileIteration(b.seqLen);

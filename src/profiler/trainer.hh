@@ -48,20 +48,6 @@ struct TrainConfig {
      * path. Requires memoizeProfiles.
      */
     unsigned profileThreads = 1;
-
-    /**
-     * Unique-SL epoch replay (the paper's per-iteration redundancy
-     * argument applied to the epoch log): profile each unique SL
-     * once, then assemble the log by replaying the SL schedule as
-     * flat-table lookups, turning O(iterations x kernels) work into
-     * O(unique SLs x kernels) + O(iterations). Disabling recovers
-     * the per-iteration memo-probe path; the log is bit-identical
-     * either way. Requires memoizeProfiles. Only the epoch-replay
-     * tests disable it; its reader sits in trainer.cc, a
-     * snapshot-codec file, so the field goes with the next
-     * kSnapshotFormatVersion bump.
-     */
-    bool uniqueSlReplay = true;
 };
 
 /** One logged training iteration. */

@@ -20,7 +20,7 @@ Gpu::execute(const KernelDesc &desc) const
                                    : timeKernel(desc, cfg);
 
     KernelRecord rec;
-    rec.name = desc.name;
+    rec.name = desc.name();
     rec.klass = desc.klass;
     rec.launches = desc.repeat;
     rec.timeSec = kt.timeSec;

@@ -103,7 +103,8 @@ class Gpu
     }
 
     /**
-     * Execute one kernel.
+     * Execute one kernel. This is the only place the library formats
+     * a kernel's name (into the record), so lowering builds none.
      *
      * @param desc Kernel descriptor.
      * @return Record with timing and counters.

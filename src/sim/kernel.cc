@@ -5,6 +5,8 @@
 
 #include "sim/kernel.hh"
 
+#include "common/strutil.hh"
+
 namespace seqpoint {
 namespace sim {
 
@@ -25,6 +27,18 @@ kernelClassName(KernelClass klass)
     return "?";
 }
 
+std::string
+KernelName::str() const
+{
+    std::string out(stem);
+    out += suffix;
+    if (gemmTile)
+        out += csprintf("_MT%ux%u_K%u", tileM, tileN, tileK);
+    else if (softmaxBlock != 0)
+        out += csprintf("_b%u", softmaxBlock);
+    return out;
+}
+
 double
 KernelDesc::arithmeticIntensity() const
 {
@@ -33,12 +47,12 @@ KernelDesc::arithmeticIntensity() const
 }
 
 KernelDesc
-makeElementwise(const std::string &name, double elems,
+makeElementwise(KernelName name, double elems,
                 double flops_per_elem, double streams_in,
                 double streams_out)
 {
     KernelDesc k;
-    k.name = name;
+    k.nameKey = name;
     k.klass = KernelClass::Elementwise;
     k.flops = elems * flops_per_elem;
     k.bytesIn = elems * 4.0 * streams_in;
@@ -54,10 +68,10 @@ makeElementwise(const std::string &name, double elems,
 }
 
 KernelDesc
-makeReduction(const std::string &name, double elems)
+makeReduction(KernelName name, double elems)
 {
     KernelDesc k;
-    k.name = name;
+    k.nameKey = name;
     k.klass = KernelClass::Reduction;
     k.flops = elems;
     k.bytesIn = elems * 4.0;
@@ -71,10 +85,10 @@ makeReduction(const std::string &name, double elems)
 }
 
 KernelDesc
-makeMemcpy(const std::string &name, double bytes)
+makeMemcpy(KernelName name, double bytes)
 {
     KernelDesc k;
-    k.name = name;
+    k.nameKey = name;
     k.klass = KernelClass::Memcpy;
     k.flops = 0.0;
     k.bytesIn = bytes;

@@ -3,9 +3,9 @@
  * Kernel descriptors: the interface between the NN lowering library and
  * the GPU timing model. A KernelDesc captures everything the simulator
  * needs -- operation class, FLOPs, global-memory request volumes,
- * working sets and available parallelism -- plus the mangled kernel
- * name (including the autotuned tile variant) used for the paper's
- * unique-kernel analyses (Figs 5 and 6).
+ * working sets and available parallelism -- plus a compact key for the
+ * mangled kernel name (including the autotuned tile variant) used for
+ * the paper's unique-kernel analyses (Figs 5 and 6).
  */
 
 #ifndef SEQPOINT_SIM_KERNEL_HH
@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 namespace seqpoint {
 namespace sim {
@@ -37,6 +38,40 @@ const char *kernelClassName(KernelClass klass);
 constexpr unsigned numKernelClasses = 9;
 
 /**
+ * Compact, trivially-copyable key for a mangled kernel name. Lowering
+ * runs on every profiled iteration, but only detailed profiles (Figs 5
+ * and 6) and the Table 1 bench ever read a name, so the string is
+ * formatted on demand by str() instead of being built per emitted
+ * kernel.
+ *
+ * The name is stem + suffix, then "_MT<m>x<n>_K<k>" for a GEMM tile
+ * variant or "_b<block>" for a softmax block variant. Both character
+ * pointers must outlive the key: they are string literals or a
+ * layer's own name, so a kernel lowered from a model may only be
+ * named while that model lives.
+ */
+struct KernelName {
+    const char *stem = "";   ///< Op literal or layer-owned name.
+    const char *suffix = ""; ///< Literal appended to the stem.
+    bool gemmTile = false;   ///< Append the tile-variant suffix.
+    uint32_t tileM = 0;      ///< GEMM output-tile rows.
+    uint32_t tileN = 0;      ///< GEMM output-tile columns.
+    uint32_t tileK = 0;      ///< GEMM K-panel depth.
+    uint32_t softmaxBlock = 0; ///< Softmax block size (0: none).
+
+    KernelName() = default;
+
+    /** Key for stem + suffix (implicit, so literals convert). */
+    KernelName(const char *name_stem, const char *name_suffix = "")
+        : stem(name_stem), suffix(name_suffix)
+    {
+    }
+
+    /** @return The formatted kernel name. */
+    std::string str() const;
+};
+
+/**
  * One GPU kernel launch as seen by the timing model.
  *
  * `bytesIn`/`bytesOut` are global-memory *request* volumes after
@@ -45,8 +80,8 @@ constexpr unsigned numKernelClasses = 9;
  * chip-wide hot set; the cache model turns these into hit fractions.
  */
 struct KernelDesc {
-    /** Mangled kernel name (includes tile-variant suffix). */
-    std::string name;
+    /** Mangled-name key (includes the variant); see name(). */
+    KernelName nameKey;
 
     /** Operation class. */
     KernelClass klass = KernelClass::Elementwise;
@@ -102,30 +137,35 @@ struct KernelDesc {
 
     /** @return Total bytes moved (loads + stores). */
     double totalBytes() const { return bytesIn + bytesOut; }
+
+    /** @return The mangled kernel name, formatted from nameKey. */
+    std::string name() const { return nameKey.str(); }
 };
+
+static_assert(std::is_trivially_copyable_v<KernelDesc>);
 
 /**
  * Convenience builder for elementwise kernels.
  *
- * @param name Kernel name.
+ * @param name Kernel name key.
  * @param elems Number of elements processed.
  * @param flops_per_elem FLOPs per element.
  * @param streams_in Number of distinct input operands streamed.
  * @param streams_out Number of distinct output operands streamed.
  */
-KernelDesc makeElementwise(const std::string &name, double elems,
+KernelDesc makeElementwise(KernelName name, double elems,
                            double flops_per_elem, double streams_in,
                            double streams_out);
 
 /**
  * Convenience builder for reduction kernels over `elems` inputs.
  */
-KernelDesc makeReduction(const std::string &name, double elems);
+KernelDesc makeReduction(KernelName name, double elems);
 
 /**
  * Convenience builder for memcpy-like kernels moving `bytes` bytes.
  */
-KernelDesc makeMemcpy(const std::string &name, double bytes);
+KernelDesc makeMemcpy(KernelName name, double bytes);
 
 } // namespace sim
 } // namespace seqpoint

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "common/stats_math.hh"
 #include "harness/experiment.hh"
+#include "sim/timing_cache.hh"
 
 namespace seqpoint {
 namespace harness {
@@ -91,6 +94,38 @@ TEST(Experiment, MemoizeOffBeforeFirstQueryStillApplies)
     exp.setMemoizeProfiles(false);
     auto cfg = sim::GpuConfig::config1();
     EXPECT_GT(exp.actualTrainSec(cfg), 0.0);
+}
+
+TEST(Experiment, TimingMemoHoldsOnlyKernelsThatRan)
+{
+    // Autotune probes are timed outside the device's memo, so after
+    // an epoch it holds exactly the distinct signatures of the
+    // kernels the profiled SLs lowered to -- no losing variants.
+    Experiment exp(makeDs2Workload(29));
+    auto cfg = sim::GpuConfig::config1();
+    exp.epochLog(cfg);
+    auto snap = exp.snapshot(cfg);
+
+    sim::Gpu gpu(cfg);
+    nn::Autotuner tuner(nn::Autotuner::Mode::Measured, &gpu);
+    tuner.seed(snap->tunerEntries);
+    const Workload &wl = exp.workload();
+    std::unordered_set<sim::KernelSignature, sim::KernelSignatureHash>
+        sigs;
+    for (const auto &[sl, profile] : snap->trainProfiles) {
+        for (const auto &k : wl.model.lowerIteration(wl.batchSize, sl,
+                                                     tuner))
+            sigs.insert(sim::kernelSignature(k));
+    }
+    for (const auto &[sl, profile] : snap->inferProfiles) {
+        for (const auto &k : wl.model.lowerInference(wl.batchSize, sl,
+                                                     tuner))
+            sigs.insert(sim::kernelSignature(k));
+    }
+    EXPECT_EQ(tuner.cacheSize(), snap->tunerEntries.size());
+    EXPECT_FALSE(sigs.empty());
+    EXPECT_EQ(snap->timingEntries.size(), sigs.size());
+    EXPECT_EQ(exp.timingCacheStats(cfg).misses, sigs.size());
 }
 
 TEST(Experiment, TimingCacheToggleRetrofitsExistingStates)

@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "common/bytestream.hh"
 #include "models/cnn.hh"
 #include "models/ds2.hh"
 #include "models/gnmt.hh"
 #include "models/transformer.hh"
 #include "nn/autotune.hh"
+#include "sim/gpu.hh"
 
 namespace seqpoint {
 namespace models {
@@ -24,7 +27,7 @@ findGemm(const std::vector<sim::KernelDesc> &ks, const std::string &pfx)
 {
     for (const auto &k : ks) {
         if (k.klass == sim::KernelClass::Gemm &&
-            k.name.rfind(pfx, 0) == 0) {
+            k.name().rfind(pfx, 0) == 0) {
             return &k;
         }
     }
@@ -130,7 +133,7 @@ TEST(Transformer, QuadraticAttentionScaling)
     auto flops_at = [&](int64_t sl) {
         double f = 0.0;
         for (const auto &k : m.lowerIteration(16, sl, tuner)) {
-            if (k.name.rfind("attn_score", 0) == 0)
+            if (k.name().rfind("attn_score", 0) == 0)
                 f += k.flops * static_cast<double>(k.repeat);
         }
         return f;
@@ -147,6 +150,44 @@ TEST(Models, AllBuildersProduceDistinctNames)
     names.insert(buildCnn().name());
     names.insert(buildTransformer().name());
     EXPECT_EQ(names.size(), 4u);
+}
+
+/**
+ * Golden kernel-name streams: one training iteration per model at a
+ * fixed SL, Measured-mode tuned on config#1. Names are formatted
+ * lazily from KernelDesc name keys; the count and the FNV-64 of the
+ * newline-joined name() list were captured when every kernel still
+ * carried its formatted std::string, so any drift in the lazy
+ * formatting (or in the tuner's variant choices) shows here.
+ */
+TEST(Models, GoldenKernelNameStreams)
+{
+    struct Golden {
+        const char *what;
+        nn::Model model;
+        int64_t sl;
+        size_t count;
+        uint64_t fnv;
+    };
+    Golden cases[] = {
+        {"DS2", buildDs2(), 200, 111, 0xf26a42000a9b6b6aull},
+        {"GNMT", buildGnmt(), 40, 181, 0xf04e40711a7c3cebull},
+        {"Transformer", buildTransformer(), 40, 133,
+         0x76e1654abbaf854dull},
+        {"CNN", buildCnn(), 1, 52, 0x6e2aa83f1bb2d7b1ull},
+    };
+    for (const Golden &g : cases) {
+        sim::Gpu gpu(sim::GpuConfig::config1());
+        nn::Autotuner tuner(nn::Autotuner::Mode::Measured, &gpu);
+        auto ks = g.model.lowerIteration(64, g.sl, tuner);
+        std::string joined;
+        for (const auto &k : ks) {
+            joined += k.name();
+            joined += '\n';
+        }
+        EXPECT_EQ(ks.size(), g.count) << g.what;
+        EXPECT_EQ(fnv1a64(joined), g.fnv) << g.what;
+    }
 }
 
 } // anonymous namespace

@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "common/status.hh"
 #include "nn/autotune.hh"
 #include "nn/kernel_gen.hh"
 #include "sim/gpu.hh"
+#include "sim/timing_model.hh"
 
 namespace seqpoint {
 namespace nn {
@@ -20,7 +24,8 @@ namespace {
 TEST(GemmVariant, SuffixFormat)
 {
     GemmVariant v{128, 64, 16};
-    EXPECT_EQ(v.suffix(), "MT128x64_K16");
+    EXPECT_EQ(gemmKernelForVariant("fc_fwd", 256, 256, 64, v).name(),
+              "fc_fwd_MT128x64_K16");
 }
 
 TEST(VariantMenu, NonEmptyAndOrdered)
@@ -88,8 +93,81 @@ TEST(Autotuner, MeasuredPicksFastestCandidate)
     for (const GemmVariant &v : gemmVariantMenu()) {
         double t = gpu.execute(
             gemmKernelForVariant("probe", 2048, 2048, 512, v)).timeSec;
-        EXPECT_LE(chosen_time, t + 1e-15) << v.suffix();
+        EXPECT_LE(chosen_time, t + 1e-15) << v.tileM << "x" << v.tileN;
     }
+}
+
+TEST(Autotuner, MeasuredProbesBypassTimingMemo)
+{
+    // Probing times the variants with the timing model directly: the
+    // device's memo sees neither a lookup nor an entry, and the
+    // choice and its cost are exactly the min and the sum of the
+    // per-variant model times.
+    sim::Gpu gpu(sim::GpuConfig::config1());
+    Autotuner tuner(Autotuner::Mode::Measured, &gpu);
+    const int64_t m = 1536, n = 320, k = 768;
+    const GemmVariant &chosen = tuner.select(m, n, k);
+    EXPECT_EQ(gpu.uniqueKernelsTimed(), 0u);
+    EXPECT_EQ(gpu.timingCacheStats().lookups(), 0u);
+
+    double sum = 0.0;
+    double best = 0.0;
+    const GemmVariant *best_v = nullptr;
+    for (const GemmVariant &v : gemmVariantMenu()) {
+        double t = sim::timeKernel(
+            gemmKernelForVariant("probe", m, n, k, v), gpu.config())
+            .timeSec;
+        sum += t;
+        if (best_v == nullptr || t < best) {
+            best = t;
+            best_v = &v;
+        }
+    }
+    ASSERT_NE(best_v, nullptr);
+    EXPECT_EQ(chosen.tileM, best_v->tileM);
+    EXPECT_EQ(chosen.tileN, best_v->tileN);
+    EXPECT_EQ(chosen.tileK, best_v->tileK);
+    EXPECT_EQ(tuner.tuningCostSec(), sum); // bit-exact
+}
+
+TEST(Autotuner, ConcurrentMeasuredSelectMatchesSerial)
+{
+    // Parallel SL sweeps share one tuner: racing threads that probe
+    // overlapping shapes must leave the same choices and the same
+    // (shape-key ordered) cost as one thread tuning them in turn.
+    std::vector<std::array<int64_t, 3>> shapes;
+    for (int64_t i = 1; i <= 12; ++i)
+        shapes.push_back({256 * i, 64 * (i % 3 + 1), 512});
+
+    sim::Gpu serial_gpu(sim::GpuConfig::config1());
+    Autotuner serial(Autotuner::Mode::Measured, &serial_gpu);
+    for (const auto &s : shapes)
+        serial.select(s[0], s[1], s[2]);
+
+    sim::Gpu gpu(sim::GpuConfig::config1());
+    Autotuner shared(Autotuner::Mode::Measured, &gpu);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (size_t i = 0; i < shapes.size(); ++i) {
+                const auto &s = shapes[(i + 3 * t) % shapes.size()];
+                shared.select(s[0], s[1], s[2]);
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    EXPECT_EQ(shared.tuningCostSec(), serial.tuningCostSec());
+    std::vector<AutotuneEntry> a = shared.snapshotEntries();
+    std::vector<AutotuneEntry> b = serial.snapshotEntries();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].variant.tileM, b[i].variant.tileM);
+        EXPECT_EQ(a[i].variant.tileN, b[i].variant.tileN);
+        EXPECT_EQ(a[i].costSec, b[i].costSec);
+    }
+    EXPECT_EQ(gpu.uniqueKernelsTimed(), 0u);
 }
 
 TEST(Autotuner, ResetClearsCacheAndCost)

@@ -27,7 +27,7 @@ TEST(GemmGen, NameCarriesVariant)
 {
     Autotuner tuner(Autotuner::Mode::Heuristic);
     sim::KernelDesc k = makeGemm("fc_fwd", 512, 512, 512, tuner);
-    EXPECT_EQ(k.name.rfind("fc_fwd_MT", 0), 0u) << k.name;
+    EXPECT_EQ(k.name().rfind("fc_fwd_MT", 0), 0u) << k.name();
 }
 
 TEST(GemmGen, SmallerTilesMeanMoreTraffic)
@@ -72,9 +72,9 @@ TEST(SoftmaxGen, BlockVariantDependsOnCols)
 {
     sim::KernelDesc small = makeSoftmax("sm", 64, 100);
     sim::KernelDesc large = makeSoftmax("sm", 64, 900);
-    EXPECT_NE(small.name, large.name);
-    EXPECT_EQ(small.name, "sm_b128");
-    EXPECT_EQ(large.name, "sm_b1024");
+    EXPECT_NE(small.name(), large.name());
+    EXPECT_EQ(small.name(), "sm_b128");
+    EXPECT_EQ(large.name(), "sm_b1024");
 }
 
 TEST(SoftmaxGen, TrafficScalesWithElems)

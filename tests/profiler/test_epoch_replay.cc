@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
+#include "data/batching.hh"
 #include "harness/workloads.hh"
 #include "profiler/trainer.hh"
 
@@ -56,13 +58,32 @@ TEST(EpochReplay, ReplayBitIdenticalToPerIterationPath)
     harness::Workload wl = harness::makeGnmtWorkload(11);
     sim::Gpu gpu(sim::GpuConfig::config1());
     TrainConfig tc = gnmtConfig(wl);
-
-    tc.uniqueSlReplay = false;
-    TrainLog per_iter = runTrainingEpoch(gpu, wl.model, wl.dataset, tc);
-
-    tc.uniqueSlReplay = true;
     TrainLog replay = runTrainingEpoch(gpu, wl.model, wl.dataset, tc);
 
+    // Oracle: profile the epoch's schedule batch by batch, in
+    // execution order, and accumulate as a per-iteration trainer
+    // would.
+    nn::Autotuner tuner(tc.tunerMode, &gpu);
+    Profiler profiler(gpu, wl.model, tuner, tc.batchSize);
+    Rng rng;
+    TrainLog per_iter;
+    for (const data::Batch &b :
+         epochBatchSchedule(wl.dataset, tc, &rng)) {
+        const IterationProfile &p = profiler.profileIteration(b.seqLen);
+        per_iter.iterations.push_back(IterationLog{b.seqLen, p.timeSec});
+        per_iter.trainSec += p.timeSec;
+        per_iter.counters += p.counters;
+    }
+    ASSERT_GE(wl.dataset.evalLens.size(), tc.batchSize);
+    for (const data::Batch &b : data::makeEpochBatches(
+             wl.dataset.evalLens, tc.batchSize,
+             data::BatchPolicy::Bucketed, rng)) {
+        per_iter.evalSec += profiler.profileInference(b.seqLen).timeSec *
+            tc.evalCostMultiplier;
+    }
+    per_iter.autotuneSec = tuner.tuningCostSec();
+
+    EXPECT_GT(per_iter.evalSec, 0.0);
     expectLogsIdentical(per_iter, replay);
 }
 
@@ -76,7 +97,6 @@ TEST(EpochReplay, ReplayBitIdenticalToUnmemoizedBaseline)
     TrainLog baseline = runTrainingEpoch(gpu, wl.model, wl.dataset, tc);
 
     tc.memoizeProfiles = true;
-    tc.uniqueSlReplay = true;
     TrainLog replay = runTrainingEpoch(gpu, wl.model, wl.dataset, tc);
 
     expectLogsIdentical(baseline, replay);

@@ -109,7 +109,7 @@ TEST(Timing, HigherClockNeverSlower)
              makeReduction("r", 1e6)}) {
         KernelTiming fast = timeKernel(k, GpuConfig::config1());
         KernelTiming slow = timeKernel(k, GpuConfig::config2());
-        EXPECT_LE(fast.timeSec, slow.timeSec) << k.name;
+        EXPECT_LE(fast.timeSec, slow.timeSec) << k.name();
     }
 }
 
@@ -119,7 +119,7 @@ TEST(Timing, MoreCusNeverSlower)
              makeReduction("r", 1e7)}) {
         KernelTiming big = timeKernel(k, GpuConfig::config1());
         KernelTiming small = timeKernel(k, GpuConfig::config3());
-        EXPECT_LE(big.timeSec, small.timeSec) << k.name;
+        EXPECT_LE(big.timeSec, small.timeSec) << k.name();
     }
 }
 
@@ -130,8 +130,8 @@ TEST(Timing, CachesNeverHurt)
         KernelTiming base = timeKernel(k, GpuConfig::config1());
         KernelTiming no_l1 = timeKernel(k, GpuConfig::config4());
         KernelTiming no_l2 = timeKernel(k, GpuConfig::config5());
-        EXPECT_LE(base.timeSec, no_l1.timeSec) << k.name;
-        EXPECT_LE(base.timeSec, no_l2.timeSec) << k.name;
+        EXPECT_LE(base.timeSec, no_l1.timeSec) << k.name();
+        EXPECT_LE(base.timeSec, no_l2.timeSec) << k.name();
     }
 }
 

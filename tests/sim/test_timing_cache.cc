@@ -16,7 +16,7 @@ namespace sim {
 namespace {
 
 KernelDesc
-testGemm(const std::string &name, int64_t m, int64_t n, int64_t k)
+testGemm(const char *name, int64_t m, int64_t n, int64_t k)
 {
     nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
     return nn::makeGemm(name, m, n, k, tuner);

@@ -24,6 +24,7 @@
 #include <string>
 
 #include "common/bytestream.hh"
+#include "common/strutil.hh"
 #include "core/seqpoint.hh"
 #include "core/sl_log.hh"
 #include "harness/experiment.hh"
@@ -101,7 +102,8 @@ main(int argc, char **argv)
 
     // fuzz_snapshot_load: the full payload plus every section.
     std::string payload = encodeSnapshotPayload(*snap);
-    ok &= writeSeed(root, "fuzz_snapshot_load", "payload_v4",
+    ok &= writeSeed(root, "fuzz_snapshot_load",
+                    csprintf("payload_v%u", kSnapshotFormatVersion),
                     mode(0, payload));
     {
         ByteWriter w;
@@ -157,7 +159,8 @@ main(int argc, char **argv)
     {
         ByteWriter w;
         sim::encodeTimingSection(w, snap->timingEntries);
-        ok &= writeSeed(root, "fuzz_timing_section", "section_v3",
+        ok &= writeSeed(root, "fuzz_timing_section",
+                        csprintf("section_v%u", kSnapshotFormatVersion),
                         mode(0, w.data()));
     }
     if (!snap->timingEntries.empty()) {
